@@ -1,4 +1,5 @@
-//! Golden-report fingerprints for the nine standard scenarios.
+//! Golden-report fingerprints for the nine standard scenarios, plus an
+//! add-on-serving golden on a 64-worker fleet that pins affinity routing.
 //!
 //! The discrete-event simulator promises bit-determinism, and this PR's
 //! arena refactor of its hot paths must not move a single bit of any
@@ -192,8 +193,121 @@ fn staged_scenario_reports_match_goldens() {
     }
 }
 
-/// Prints the current fingerprint tables for pasting into `EXPECTED` and
-/// `EXPECTED_RESUME`.
+/// Fleet size of the add-on golden: large enough that idle workers tie on
+/// load, the affinity scan can stop early, and fail-stops hit some tiers.
+const ADDON_WORKERS: usize = 64;
+
+fn addons_system() -> SystemConfig {
+    SystemConfig {
+        num_workers: ADDON_WORKERS,
+        addons: Some(AddonsConfig::demo(2024)),
+        ..Default::default()
+    }
+}
+
+fn addons_scenarios() -> Vec<Scenario> {
+    let base = Trace::constant(40.0, SimDuration::from_secs(60)).unwrap();
+    standard_scenarios(&base, ADDON_WORKERS)
+}
+
+/// [`fingerprint`] extended with the add-on cache accounting, so a changed
+/// affinity pick shows even where it leaves the latency aggregates alone.
+fn fingerprint_addons(report: &RunReport) -> u64 {
+    const PRIME: u64 = 0x1000_0000_01b3;
+    fn eat(h: &mut u64, v: u64) {
+        for b in v.to_le_bytes() {
+            *h = (*h ^ u64::from(b)).wrapping_mul(PRIME);
+        }
+    }
+    let mut h = fingerprint(report);
+    let stats = &report.addon_stats;
+    for slot in 0..2 {
+        eat(&mut h, stats.hits[slot]);
+        eat(&mut h, stats.misses[slot]);
+        eat(&mut h, stats.swap_secs[slot].to_bits());
+    }
+    h
+}
+
+fn run_addons(policy: Policy, scenario: &Scenario) -> RunReport {
+    let peak = scenario.effective_trace().max_qps();
+    run_scenario(
+        runtime(),
+        &addons_system(),
+        &RunSettings::new(policy, peak),
+        scenario,
+    )
+}
+
+/// The policies the add-on golden serves under. DiffServe's allocations
+/// keep every tier staffed; Proteus's random tier split also sends add-on
+/// queries to tiers with no primaries, so its runs take the pending-switch
+/// and whole-fleet affinity fallbacks.
+const ADDON_POLICIES: [Policy; 2] = [Policy::DiffServe, Policy::Proteus];
+
+/// Every `(policy, scenario)` pair of the add-on golden, in
+/// [`ADDON_POLICIES`] × [`standard_scenarios`] order.
+fn addon_cases() -> Vec<(Policy, Scenario)> {
+    ADDON_POLICIES
+        .iter()
+        .flat_map(|&p| addons_scenarios().into_iter().map(move |s| (p, s)))
+        .collect()
+}
+
+/// Captured fingerprints of the nine standard scenarios served with the
+/// demo add-on mix on [`ADDON_WORKERS`] workers under each of
+/// [`ADDON_POLICIES`], hashed with [`fingerprint_addons`].
+const EXPECTED_ADDONS: [(&str, &str, u64); 18] = [
+    ("DiffServe", "steady", 0x16d8df466f73d030),
+    ("DiffServe", "flash-crowd", 0xc595954e93bf13a7),
+    ("DiffServe", "worker-failure", 0xd303f992b53fd6cf),
+    ("DiffServe", "double-failure", 0x733426718e4ac5b8),
+    ("DiffServe", "cascading-failure", 0x1f034c56dfb35f88),
+    ("DiffServe", "demand-shock", 0x95d4837100a0c42d),
+    ("DiffServe", "hard-prompts", 0x22f3b0a85114fb84),
+    ("DiffServe", "brownout", 0x242545cb93a998c7),
+    ("DiffServe", "load-correlated-cascade", 0xc4aa61cb507fcab5),
+    ("Proteus", "steady", 0x3f8979b0ab9aa172),
+    ("Proteus", "flash-crowd", 0x3b8ece59c1b806f0),
+    ("Proteus", "worker-failure", 0x0945ff1a6769b05d),
+    ("Proteus", "double-failure", 0x1a9f3e5eed0c949e),
+    ("Proteus", "cascading-failure", 0xaf95570f968f0066),
+    ("Proteus", "demand-shock", 0x3087a980e2ab997d),
+    ("Proteus", "hard-prompts", 0x3fbac9f5b0b3f17c),
+    ("Proteus", "brownout", 0xd8614032ea1edebe),
+    ("Proteus", "load-correlated-cascade", 0x559cedcf3f4e5ee8),
+];
+
+/// Add-on serving is as deterministic as plain serving: every standard
+/// scenario on the add-on fleet must match its golden fingerprint bit for
+/// bit, cache hits, misses and swap seconds included.
+#[test]
+fn addon_scenario_reports_match_goldens() {
+    let cases = addon_cases();
+    assert_eq!(cases.len(), EXPECTED_ADDONS.len());
+    for ((policy, scenario), &(pname, name, expected)) in cases.iter().zip(EXPECTED_ADDONS.iter()) {
+        assert_eq!(
+            (policy.name(), scenario.name()),
+            (pname, name),
+            "case order drifted"
+        );
+        let report = run_addons(*policy, scenario);
+        assert!(
+            report.addon_stats.total_lookups() > 0,
+            "{pname}/{name}: the mix must attach add-ons"
+        );
+        let got = fingerprint_addons(&report);
+        assert_eq!(
+            got, expected,
+            "{pname}/{name}: add-on report fingerprint {got:#018x} != golden {expected:#018x} — \
+             affinity routing or cache accounting changed; if intentional, regenerate \
+             with `cargo test --release --test golden_reports -- --ignored --nocapture`"
+        );
+    }
+}
+
+/// Prints the current fingerprint tables for pasting into `EXPECTED`,
+/// `EXPECTED_RESUME` and `EXPECTED_ADDONS`.
 #[test]
 #[ignore = "generator, not a check — run with --ignored --nocapture"]
 fn print_current_fingerprints() {
@@ -211,6 +325,15 @@ fn print_current_fingerprints() {
             "    (\"{}\", {:#018x}),",
             scenario.name(),
             fingerprint_staged(&run_staged(&scenario))
+        );
+    }
+    println!("EXPECTED_ADDONS:");
+    for (policy, scenario) in addon_cases() {
+        println!(
+            "    (\"{}\", \"{}\", {:#018x}),",
+            policy.name(),
+            scenario.name(),
+            fingerprint_addons(&run_addons(policy, &scenario))
         );
     }
 }
