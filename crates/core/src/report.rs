@@ -102,16 +102,20 @@ pub struct TierStats {
 }
 
 /// FID of a set of completed responses against the reference Gaussian;
-/// `NaN` with fewer than two responses.
-pub fn fid_of_responses(
-    responses: &[CompletedResponse],
+/// `NaN` with fewer than two responses. Takes any iterator of borrowed
+/// responses, so a subset can be scored without cloning it.
+pub fn fid_of_responses<'a>(
+    responses: impl IntoIterator<Item = &'a CompletedResponse>,
     reference: &GaussianStats,
     ridge: f64,
 ) -> f64 {
-    if responses.len() < 2 {
+    let rows: Vec<&[f64]> = responses
+        .into_iter()
+        .map(|r| r.features.as_slice())
+        .collect();
+    if rows.len() < 2 {
         return f64::NAN;
     }
-    let rows: Vec<&[f64]> = responses.iter().map(|r| r.features.as_slice()).collect();
     let m = Mat::from_rows(&rows);
     match GaussianStats::fit(&m, ridge) {
         Ok(g) => frechet_distance(&g, reference).unwrap_or(f64::NAN),
@@ -206,11 +210,8 @@ impl RunReport {
             .unwrap_or(0);
         let tier_breakdown = (0..num_tiers)
             .map(|t| {
-                let members: Vec<CompletedResponse> = responses
-                    .iter()
-                    .filter(|r| r.tier_index == t)
-                    .cloned()
-                    .collect();
+                let members: Vec<&CompletedResponse> =
+                    responses.iter().filter(|r| r.tier_index == t).collect();
                 TierStats {
                     tier: t,
                     completions: members.len() as u64,
@@ -219,7 +220,7 @@ impl RunReport {
                     } else {
                         members.iter().map(|r| r.latency_secs()).sum::<f64>() / members.len() as f64
                     },
-                    fid: fid_of_responses(&members, reference, 1e-6),
+                    fid: fid_of_responses(members, reference, 1e-6),
                     escalated_past: responses.iter().filter(|r| r.tier_index > t).count() as u64,
                 }
             })

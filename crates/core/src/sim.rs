@@ -204,17 +204,20 @@ enum RoutePool {
 /// Per-tier sorted load index over the alive fleet.
 ///
 /// Replaces the router's linear scans: every alive worker sits in exactly
-/// one pool (primary or pending, per tier) and in the global alive set,
-/// keyed by `(routing load, worker index)`. `BTreeSet` minima then answer
-/// "least-loaded worker of this tier" in `O(log n)` instead of `O(n)`,
-/// and the `(key, index)` ordering reproduces the scan's `(load, index)`
-/// tie-break bit-for-bit. Debug builds assert that agreement on every
-/// routing decision (see `ServingSim::scan_route`).
+/// one pool (primary or pending, per tier), keyed by `(routing load,
+/// worker index)`. `BTreeSet` minima then answer "least-loaded worker of
+/// this tier" in `O(log n)` instead of `O(n)`, and the `(key, index)`
+/// ordering reproduces the scan's `(load, index)` tie-break bit-for-bit.
+/// The whole alive fleet is the union of the pools, so its size is a
+/// counter and its least-loaded worker the minimum of the pool minima
+/// (`O(tiers)`). Debug builds assert agreement with the linear scan on
+/// every routing decision (see `ServingSim::scan_route`).
 #[derive(Debug, Clone)]
 struct LoadIndex {
     primary: Vec<BTreeSet<(u64, usize)>>,
     pending_to: Vec<BTreeSet<(u64, usize)>>,
-    alive: BTreeSet<(u64, usize)>,
+    /// Workers with a slot, i.e. alive.
+    alive: usize,
     /// Back-reference per worker: its pool and key, `None` while failed.
     slot: Vec<Option<(RoutePool, u64)>>,
 }
@@ -224,47 +227,61 @@ impl LoadIndex {
         LoadIndex {
             primary: vec![BTreeSet::new(); tiers],
             pending_to: vec![BTreeSet::new(); tiers],
-            alive: BTreeSet::new(),
+            alive: 0,
             slot: vec![None; n],
+        }
+    }
+
+    fn pool_mut(&mut self, pool: RoutePool) -> &mut BTreeSet<(u64, usize)> {
+        match pool {
+            RoutePool::Primary(t) => &mut self.primary[t],
+            RoutePool::PendingTo(t) => &mut self.pending_to[t],
         }
     }
 
     fn remove(&mut self, idx: usize) {
         if let Some((pool, key)) = self.slot[idx].take() {
-            let set = match pool {
-                RoutePool::Primary(t) => &mut self.primary[t],
-                RoutePool::PendingTo(t) => &mut self.pending_to[t],
-            };
-            set.remove(&(key, idx));
-            self.alive.remove(&(key, idx));
+            self.pool_mut(pool).remove(&(key, idx));
+            self.alive -= 1;
         }
     }
 
+    /// Files worker `idx` under `pool` with `key`; a no-op when that is
+    /// already its slot (e.g. a dispatch attempt that dropped nothing).
     fn insert(&mut self, idx: usize, pool: RoutePool, key: u64) {
+        if self.slot[idx] == Some((pool, key)) {
+            return;
+        }
         self.remove(idx);
-        let set = match pool {
-            RoutePool::Primary(t) => &mut self.primary[t],
-            RoutePool::PendingTo(t) => &mut self.pending_to[t],
-        };
-        set.insert((key, idx));
-        self.alive.insert((key, idx));
+        self.pool_mut(pool).insert((key, idx));
+        self.alive += 1;
         self.slot[idx] = Some((pool, key));
     }
 
     fn min_primary(&self, tier: usize) -> Option<usize> {
-        self.primary[tier].iter().next().map(|&(_, i)| i)
+        self.primary[tier].first().map(|&(_, i)| i)
     }
 
     fn min_pending_to(&self, tier: usize) -> Option<usize> {
-        self.pending_to[tier].iter().next().map(|&(_, i)| i)
+        self.pending_to[tier].first().map(|&(_, i)| i)
     }
 
+    /// The least-loaded alive worker by `(key, index)`: the minimum of
+    /// every pool's first entry.
     fn min_alive(&self) -> Option<usize> {
-        self.alive.iter().next().map(|&(_, i)| i)
+        self.pools()
+            .filter_map(BTreeSet::first)
+            .min()
+            .map(|&(_, i)| i)
     }
 
     fn alive_len(&self) -> usize {
-        self.alive.len()
+        self.alive
+    }
+
+    /// Every pool, primaries first; together they hold the alive fleet.
+    fn pools(&self) -> impl Iterator<Item = &BTreeSet<(u64, usize)>> {
+        self.primary.iter().chain(&self.pending_to)
     }
 
     /// Alive workers whose target tier is `tier` (primaries plus workers
@@ -1007,9 +1024,104 @@ impl<'a> ServingSim<'a> {
         }
     }
 
+    /// The module an add-on-carrying query needs and its miss penalty in
+    /// routing-load units: the module's load latency normalized by the
+    /// tier's single-query service time. `None` when add-ons are disabled,
+    /// the query carries none, or the affinity-blind ablation is on.
+    fn affinity_penalty(&self, tier: usize, qidx: u64) -> Option<(usize, f64)> {
+        let addons = self.config.addons.as_ref()?;
+        let id = self.queries[qidx as usize].addon?;
+        if self.settings.knobs.affinity_blind_routing {
+            return None;
+        }
+        let penalty = addons.catalog.get(id).load_secs / self.stage_latency(tier, 1);
+        Some((id, penalty))
+    }
+
+    /// Affinity-aware pick for an add-on-carrying query: over the default
+    /// ladder's first non-empty candidate pool (tier primaries, then
+    /// workers switching toward the tier, then any alive worker), rank
+    /// each worker by its routing load plus the miss penalty of
+    /// [`Self::affinity_penalty`] — so a cached replica slightly deeper in
+    /// queue beats an idle worker that must swap. The pick is the minimum
+    /// of (score, routing load, worker index), the same tie-break order
+    /// as the default JSQ after the score. Returns `None` (→ the default
+    /// ladder, which stays bit-identical) when there is no penalty to
+    /// apply.
+    ///
+    /// Each pool is walked in its `(key, index)` order, reading the load
+    /// back from the key, and the walk stops at the first worker whose
+    /// load alone already ranks at or after the best pick: a worker scores
+    /// at least its load, so no later worker can win. The whole-fleet
+    /// fallback folds every pool into one minimum. Debug builds re-run the
+    /// full scan and assert the pick agrees (see
+    /// [`Self::scan_affinity_route`]).
+    fn affinity_route(&self, tier: usize, qidx: u64) -> Option<usize> {
+        let (id, penalty) = self.affinity_penalty(tier, qidx)?;
+        let mut best = None;
+        if !self.index.primary[tier].is_empty() {
+            self.affinity_scan(&self.index.primary[tier], id, penalty, &mut best);
+        } else if !self.index.pending_to[tier].is_empty() {
+            self.affinity_scan(&self.index.pending_to[tier], id, penalty, &mut best);
+        } else {
+            for pool in self.index.pools() {
+                self.affinity_scan(pool, id, penalty, &mut best);
+            }
+        }
+        best.map(|(_, _, i)| i)
+    }
+
+    /// Folds one load-index pool into the running affinity minimum `best`
+    /// of (score, key, worker index). A pool iterates in ascending `(key,
+    /// index)` order and loads are non-negative, so `(load, key, index)`
+    /// only grows along it and bounds every remaining worker's rank from
+    /// below: once it reaches `best` the rest of the pool cannot win.
+    fn affinity_scan(
+        &self,
+        pool: &BTreeSet<(u64, usize)>,
+        id: usize,
+        penalty: f64,
+        best: &mut Option<(f64, u64, usize)>,
+    ) {
+        for &(key, i) in pool {
+            let load = f64::from_bits(key);
+            if best.is_some_and(|b| (load, key, i) >= b) {
+                break;
+            }
+            let miss = if self.caches[i].contains(id) {
+                0.0
+            } else {
+                penalty
+            };
+            let rank = (load + miss, key, i);
+            if best.is_none_or(|b| rank < b) {
+                *best = Some(rank);
+            }
+        }
+    }
+
+    /// The full affinity scan the bounded walk replaced — kept as a
+    /// debug-build cross-check, like [`Self::scan_route`]: every candidate
+    /// of the first non-empty stage, ranked by live routing load plus miss
+    /// penalty, then routing load, then index.
+    #[cfg(debug_assertions)]
+    fn scan_affinity_route(&self, tier: usize, qidx: u64) -> Option<usize> {
+        let (id, penalty) = self.affinity_penalty(tier, qidx)?;
+        self.scan_stages(tier, |i| {
+            let load = self.routing_load(i);
+            let miss = if self.caches[i].contains(id) {
+                0.0
+            } else {
+                penalty
+            };
+            (load + miss, load, i)
+        })
+    }
+
     /// Health-weighted join-shortest-queue routing to the pool of a tier.
     /// Prefers alive workers already running the tier; falls back to ones
-    /// switching toward it, then to any alive worker.
+    /// switching toward it, then to any alive worker. Add-on-carrying
+    /// queries take [`Self::affinity_route`] instead when it picks.
     ///
     /// Each candidate is ranked by *effective* load — see
     /// [`Worker::effective_load`] — so a 2×-degraded worker's queue slots
@@ -1024,50 +1136,6 @@ impl<'a> ServingSim<'a> {
     /// tier, then any alive worker — each pool pre-sorted by `(routing
     /// load, index)`, the exact ranking the old linear scan computed.
     /// Debug builds re-run the scan and assert the index agrees.
-    /// Affinity-aware pick for an add-on-carrying query: over the default
-    /// ladder's first non-empty candidate pool (tier primaries, then
-    /// workers switching toward the tier, then any alive worker), rank
-    /// each worker by its routing load plus a miss penalty — the required
-    /// module's load latency normalized by the tier's single-query service
-    /// time — so a cached replica slightly deeper in queue beats an idle
-    /// worker that must swap. Ties break toward the lower worker index,
-    /// like the default JSQ. Returns `None` (→ the default ladder, which
-    /// stays bit-identical) when add-ons are disabled, the query carries
-    /// none, or the affinity-blind ablation is on.
-    fn affinity_route(&self, tier: usize, qidx: u64) -> Option<usize> {
-        let addons = self.config.addons.as_ref()?;
-        let id = self.queries[qidx as usize].addon?;
-        if self.settings.knobs.affinity_blind_routing {
-            return None;
-        }
-        let t = tier;
-        let penalty = addons.catalog.get(id).load_secs / self.stage_latency(tier, 1);
-        let pool = if !self.index.primary[t].is_empty() {
-            &self.index.primary[t]
-        } else if !self.index.pending_to[t].is_empty() {
-            &self.index.pending_to[t]
-        } else {
-            &self.index.alive
-        };
-        let mut best: Option<(f64, usize)> = None;
-        for &(_, i) in pool {
-            let score = self.routing_load(i)
-                + if self.caches[i].contains(id) {
-                    0.0
-                } else {
-                    penalty
-                };
-            let better = match best {
-                None => true,
-                Some((bs, _)) => score < bs,
-            };
-            if better {
-                best = Some((score, i));
-            }
-        }
-        best.map(|(_, i)| i)
-    }
-
     fn route_to_tier(
         &mut self,
         tier: usize,
@@ -1075,25 +1143,31 @@ impl<'a> ServingSim<'a> {
         now: SimTime,
         queue: &mut EventQueue<Event>,
     ) {
-        if let Some(chosen) = self.affinity_route(tier, qidx) {
-            self.workers[chosen].queue.push_back(qidx);
-            self.refresh_index(chosen);
-            self.try_start(chosen, now, queue);
-            return;
-        }
-        let t = tier;
-        let chosen = self
-            .index
-            .min_primary(t)
-            .or_else(|| self.index.min_pending_to(t))
-            .or_else(|| self.index.min_alive())
-            .expect("scenario validation keeps at least one worker alive");
+        let affinity = self.affinity_route(tier, qidx);
         #[cfg(debug_assertions)]
         assert_eq!(
-            Some(chosen),
-            self.scan_route(tier),
-            "per-tier load index diverged from the linear routing scan"
+            affinity,
+            self.scan_affinity_route(tier, qidx),
+            "bounded affinity walk diverged from the full affinity scan"
         );
+        let chosen = match affinity {
+            Some(chosen) => chosen,
+            None => {
+                let chosen = self
+                    .index
+                    .min_primary(tier)
+                    .or_else(|| self.index.min_pending_to(tier))
+                    .or_else(|| self.index.min_alive())
+                    .expect("scenario validation keeps at least one worker alive");
+                #[cfg(debug_assertions)]
+                assert_eq!(
+                    Some(chosen),
+                    self.scan_route(tier),
+                    "per-tier load index diverged from the linear routing scan"
+                );
+                chosen
+            }
+        };
         self.workers[chosen].queue.push_back(qidx);
         self.refresh_index(chosen);
         self.try_start(chosen, now, queue);
@@ -1104,15 +1178,21 @@ impl<'a> ServingSim<'a> {
     /// fails loudly in tests instead of silently diverging.
     #[cfg(debug_assertions)]
     fn scan_route(&self, tier: usize) -> Option<usize> {
+        self.scan_stages(tier, |i| (self.routing_load(i), i))
+    }
+
+    /// The minimum-`rank` alive worker of the first non-empty routing
+    /// stage: tier primaries, then workers switching toward the tier, then
+    /// any alive worker. Linear over the fleet; debug cross-checks only.
+    #[cfg(debug_assertions)]
+    fn scan_stages<R: PartialOrd>(&self, tier: usize, rank: impl Fn(usize) -> R) -> Option<usize> {
         let pick = |pred: &dyn Fn(&Worker) -> bool| -> Option<usize> {
             (0..self.workers.len())
                 .filter(|&i| !self.workers[i].failed && pred(&self.workers[i]))
                 .min_by(|&a, &b| {
-                    let ea = self.routing_load(a);
-                    let eb = self.routing_load(b);
-                    ea.partial_cmp(&eb)
+                    rank(a)
+                        .partial_cmp(&rank(b))
                         .expect("routing loads are finite")
-                        .then(a.cmp(&b))
                 })
         };
         pick(&|w| w.tier == tier && w.pending_tier.is_none())
@@ -2519,5 +2599,56 @@ mod tests {
         // Demand series should hover near the offered 6 QPS.
         let mid = report.demand_series[report.demand_series.len() / 2].1;
         assert!((mid - 6.0).abs() < 3.0, "demand series off: {mid}");
+    }
+
+    /// The whole-fleet affinity fallback ranks every pool, including
+    /// workers switching toward *another* tier, and breaks an exact tie
+    /// on (score, load) toward the lower worker index even when that
+    /// worker sits in a later pool.
+    #[test]
+    fn affinity_fleet_fallback_ranks_every_pool() {
+        let addons = crate::addons::AddonsConfig::demo(5);
+        let catalog = addons.catalog.clone();
+        let spec = SessionSpec {
+            runtime: test_runtime(),
+            config: SystemConfig {
+                addons: Some(addons),
+                ..small_config()
+            },
+            settings: RunSettings::new(Policy::DiffServe, 8.0),
+            scenario: None,
+        };
+        let mut sim = ServingSim::new(
+            spec.config.clone(),
+            spec.settings.clone(),
+            spec.runtime,
+            spec.control_loop(),
+            Vec::new(),
+            None,
+        );
+        let id = 3;
+        let qidx = sim.enqueue_query(SimTime::ZERO, None, None, None, Some(id));
+        // Nobody targets tier 0. Worker 1 is mid-switch 0 -> 1; the rest
+        // host tier 1. Workers 1 and 6 hold the module at equal load;
+        // everyone else is deeper in queue and would have to swap.
+        for (i, w) in sim.workers.iter_mut().enumerate() {
+            w.tier = if i == 1 { 0 } else { 1 };
+            w.pending_tier = (i == 1).then_some(1);
+            w.queue.clear();
+            let depth = if i == 1 || i == 6 { 1 } else { 3 };
+            w.queue.extend(std::iter::repeat_n(qidx, depth));
+        }
+        for i in [1, 6] {
+            sim.caches[i].admit(id, &catalog);
+        }
+        for i in 0..sim.workers.len() {
+            sim.refresh_index(i);
+        }
+        assert!(sim.index.primary[0].is_empty() && sim.index.pending_to[0].is_empty());
+        assert_eq!(sim.index.alive_len(), 8);
+        assert_eq!(sim.index.min_alive(), Some(1));
+        assert_eq!(sim.affinity_route(0, qidx), Some(1));
+        #[cfg(debug_assertions)]
+        assert_eq!(sim.scan_affinity_route(0, qidx), Some(1));
     }
 }
