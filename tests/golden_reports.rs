@@ -1,5 +1,8 @@
-//! Golden-report fingerprints for the nine standard scenarios, plus an
-//! add-on-serving golden on a 64-worker fleet that pins affinity routing.
+//! Golden-report fingerprints for the nine standard scenarios, an
+//! add-on-serving golden on a 64-worker fleet that pins affinity routing,
+//! and a FID golden that pins the per-tier FIDs and the live rolling-FID
+//! estimate every observer tap sees, on the two-tier cascade and on the
+//! three-tier ladder.
 //!
 //! The discrete-event simulator promises bit-determinism, and this PR's
 //! arena refactor of its hot paths must not move a single bit of any
@@ -13,7 +16,7 @@
 //! prints the current table; paste it over `EXPECTED`.
 
 use diffserve::prelude::*;
-use diffserve_simkit::time::SimDuration;
+use diffserve_simkit::time::{SimDuration, SimTime};
 use std::sync::OnceLock;
 
 fn runtime() -> &'static CascadeRuntime {
@@ -306,8 +309,140 @@ fn addon_scenario_reports_match_goldens() {
     }
 }
 
+/// The three-tier `ladder3` runtime, trained like [`runtime`].
+fn ladder3_runtime() -> &'static CascadeRuntime {
+    static RT: OnceLock<CascadeRuntime> = OnceLock::new();
+    RT.get_or_init(|| {
+        CascadeRuntime::prepare_ladder(
+            ladder3(FeatureSpec::default()),
+            1500,
+            2024,
+            DiscriminatorConfig {
+                train_prompts: 500,
+                epochs: 10,
+                ..Default::default()
+            },
+        )
+    })
+}
+
+/// The standard scenarios the FID golden serves: a steady run, a fail-stop
+/// and a difficulty shift.
+const FID_SCENARIOS: [&str; 3] = ["steady", "worker-failure", "hard-prompts"];
+
+/// Every `(ladder?, scenario)` case of the FID golden: the cascade first,
+/// then the ladder, each over [`FID_SCENARIOS`].
+fn fid_cases() -> Vec<(bool, Scenario)> {
+    [false, true]
+        .into_iter()
+        .flat_map(|ladder| {
+            scenarios()
+                .into_iter()
+                .filter(|s| FID_SCENARIOS.contains(&s.name()))
+                .map(move |s| (ladder, s))
+        })
+        .collect()
+}
+
+/// Serves one FID-golden case through a session with an observer attached
+/// and hashes what the report fingerprints leave out: the bits of every
+/// `fid_estimate` the observer taps see, then each tier's completions, FID,
+/// escalated-past count and mean latency from `tier_breakdown`.
+fn fingerprint_fid(ladder: bool, scenario: &Scenario) -> u64 {
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x1000_0000_01b3;
+    fn eat(h: &mut u64, v: u64) {
+        for b in v.to_le_bytes() {
+            *h = (*h ^ u64::from(b)).wrapping_mul(PRIME);
+        }
+    }
+    let (rt, config) = if ladder {
+        let config = SystemConfig {
+            ladder: Some(LadderConfig::default()),
+            ..system()
+        };
+        (ladder3_runtime(), config)
+    } else {
+        (runtime(), system())
+    };
+    let trace = scenario.effective_trace();
+    let horizon = SimTime::ZERO + trace.duration() + config.slo * 4;
+    let mut taps: Vec<u64> = Vec::new();
+    let mut session = ServingSession::builder()
+        .runtime(rt)
+        .config(config)
+        .settings(RunSettings::new(Policy::DiffServe, trace.max_qps()))
+        .scenario(scenario.clone())
+        .build()
+        .expect("valid session");
+    session.observer(|snap| taps.push(snap.fid_estimate.to_bits()));
+    session.replay_trace(&trace);
+    session.run_until(horizon);
+    let report = session.finish();
+    assert!(
+        taps.iter().any(|&bits| f64::from_bits(bits).is_finite()),
+        "{}: the rolling estimate must warm up",
+        scenario.name()
+    );
+    assert_eq!(report.tier_breakdown.len(), if ladder { 3 } else { 2 });
+
+    let mut h = OFFSET;
+    eat(&mut h, taps.len() as u64);
+    for bits in taps {
+        eat(&mut h, bits);
+    }
+    eat(&mut h, report.tier_breakdown.len() as u64);
+    for tier in &report.tier_breakdown {
+        eat(&mut h, tier.completions);
+        eat(&mut h, tier.fid.to_bits());
+        eat(&mut h, tier.escalated_past);
+        eat(&mut h, tier.mean_latency.to_bits());
+    }
+    h
+}
+
+/// Captured [`fingerprint_fid`] values, in [`fid_cases`] order.
+const EXPECTED_FID: [(&str, &str, u64); 6] = [
+    ("cascade1", "steady", 0x0a14901cc2966d75),
+    ("cascade1", "worker-failure", 0x82163ca45ae9cbcb),
+    ("cascade1", "hard-prompts", 0x7c03ba8cb936d853),
+    ("ladder3", "steady", 0xee21bfaf3bc33a93),
+    ("ladder3", "worker-failure", 0x80800a3bc47ed959),
+    ("ladder3", "hard-prompts", 0x4da2f20262e3c398),
+];
+
+fn tiers_name(ladder: bool) -> &'static str {
+    if ladder {
+        "ladder3"
+    } else {
+        "cascade1"
+    }
+}
+
+/// The per-tier FIDs and the stream of live rolling-FID estimates match
+/// their goldens bit for bit, on the cascade and on the ladder.
+#[test]
+fn tier_fid_and_fid_estimate_taps_match_goldens() {
+    let cases = fid_cases();
+    assert_eq!(cases.len(), EXPECTED_FID.len());
+    for ((ladder, scenario), &(tiers, name, expected)) in cases.iter().zip(EXPECTED_FID.iter()) {
+        assert_eq!(
+            (tiers_name(*ladder), scenario.name()),
+            (tiers, name),
+            "case order drifted"
+        );
+        let got = fingerprint_fid(*ladder, scenario);
+        assert_eq!(
+            got, expected,
+            "{tiers}/{name}: FID fingerprint {got:#018x} != golden {expected:#018x} — \
+             the tier breakdown or the rolling FID estimate changed; if intentional, regenerate \
+             with `cargo test --release --test golden_reports -- --ignored --nocapture`"
+        );
+    }
+}
+
 /// Prints the current fingerprint tables for pasting into `EXPECTED`,
-/// `EXPECTED_RESUME` and `EXPECTED_ADDONS`.
+/// `EXPECTED_RESUME`, `EXPECTED_ADDONS` and `EXPECTED_FID`.
 #[test]
 #[ignore = "generator, not a check — run with --ignored --nocapture"]
 fn print_current_fingerprints() {
@@ -334,6 +469,15 @@ fn print_current_fingerprints() {
             policy.name(),
             scenario.name(),
             fingerprint_addons(&run_addons(policy, &scenario))
+        );
+    }
+    println!("EXPECTED_FID:");
+    for (ladder, scenario) in fid_cases() {
+        println!(
+            "    (\"{}\", \"{}\", {:#018x}),",
+            tiers_name(ladder),
+            scenario.name(),
+            fingerprint_fid(ladder, &scenario)
         );
     }
 }
