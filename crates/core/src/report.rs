@@ -1,6 +1,5 @@
 //! Run reports: the measurements every experiment consumes.
 
-use diffserve_linalg::Mat;
 use diffserve_metrics::{frechet_distance, GaussianStats, SloTracker};
 use diffserve_simkit::time::SimDuration;
 use diffserve_trace::IncidentLog;
@@ -113,11 +112,13 @@ pub fn fid_of_responses<'a>(
         .into_iter()
         .map(|r| r.features.as_slice())
         .collect();
-    if rows.len() < 2 {
-        return f64::NAN;
-    }
-    let m = Mat::from_rows(&rows);
-    match GaussianStats::fit(&m, ridge) {
+    fid_of_rows(&rows, reference, ridge)
+}
+
+/// FID of borrowed feature rows against the reference Gaussian, fit in
+/// place; `NaN` with fewer than two rows or on numerical failure.
+fn fid_of_rows(rows: &[&[f64]], reference: &GaussianStats, ridge: f64) -> f64 {
+    match GaussianStats::fit_rows(rows, ridge) {
         Ok(g) => frechet_distance(&g, reference).unwrap_or(f64::NAN),
         Err(_) => f64::NAN,
     }
@@ -151,8 +152,7 @@ pub fn windowed_fid(
             continue;
         }
         let rows: Vec<&[f64]> = bucket.iter().map(|r| r.features.as_slice()).collect();
-        let m = Mat::from_rows(&rows);
-        if let Ok(g) = GaussianStats::fit(&m, 1e-3) {
+        if let Ok(g) = GaussianStats::fit_rows(&rows, 1e-3) {
             if let Ok(d) = frechet_distance(&g, reference) {
                 series.push((w as f64 * window.as_secs_f64(), d));
             }
@@ -208,20 +208,34 @@ impl RunReport {
             .map(|r| r.tier_index + 1)
             .max()
             .unwrap_or(0);
-        let tier_breakdown = (0..num_tiers)
-            .map(|t| {
-                let members: Vec<&CompletedResponse> =
-                    responses.iter().filter(|r| r.tier_index == t).collect();
+        let mut tier_counts = vec![0u64; num_tiers];
+        for r in responses {
+            tier_counts[r.tier_index] += 1;
+        }
+        let mut escalated_past = responses.len() as u64;
+        let tier_breakdown = tier_counts
+            .into_iter()
+            .enumerate()
+            .map(|(t, completions)| {
+                escalated_past -= completions;
+                // One tier's rows at a time keeps the peak footprint of
+                // the breakdown to the largest tier.
+                let mut rows = Vec::with_capacity(completions as usize);
+                let mut latency_sum = 0.0;
+                for r in responses.iter().filter(|r| r.tier_index == t) {
+                    rows.push(r.features.as_slice());
+                    latency_sum += r.latency_secs();
+                }
                 TierStats {
                     tier: t,
-                    completions: members.len() as u64,
-                    mean_latency: if members.is_empty() {
+                    completions,
+                    mean_latency: if rows.is_empty() {
                         0.0
                     } else {
-                        members.iter().map(|r| r.latency_secs()).sum::<f64>() / members.len() as f64
+                        latency_sum / rows.len() as f64
                     },
-                    fid: fid_of_responses(members, reference, 1e-6),
-                    escalated_past: responses.iter().filter(|r| r.tier_index > t).count() as u64,
+                    fid: fid_of_rows(&rows, reference, 1e-6),
+                    escalated_past,
                 }
             })
             .collect();

@@ -260,27 +260,28 @@ impl Discriminator {
     /// Panics if the feature vector has the wrong dimensionality.
     pub fn raw_confidence(&self, features: &[f64]) -> f64 {
         assert_eq!(features.len(), DIM, "feature dimensionality mismatch");
-        let extracted = self.extract(features);
-        let x = Mat::from_rows(&[&extracted]);
-        self.classifier.predict_proba(&x)[(0, 1)]
+        let mut buf = [0.0; DIM];
+        let extracted = self.extract(features, &mut buf);
+        self.classifier.predict_proba_row(extracted, 1)
     }
 
     /// Applies the backbone's feature-extraction noise, deterministically
     /// per image (seeded from the feature bits) so repeated scoring of the
-    /// same image is stable.
-    fn extract(&self, features: &[f64]) -> Vec<f64> {
+    /// same image is stable. A noiseless backbone sees `features` as they
+    /// are; otherwise the noisy copy is written into `buf`.
+    fn extract<'f>(&self, features: &'f [f64], buf: &'f mut [f64; DIM]) -> &'f [f64] {
         let sigma = self.config.arch.feature_noise();
         if sigma == 0.0 {
-            return features.to_vec();
+            return features;
         }
         let tag = features
             .iter()
             .fold(0u64, |acc, f| acc.rotate_left(7) ^ f.to_bits());
         let mut rng = seeded_rng(derive_seed(self.config.seed, tag));
         let normal = Normal::standard();
-        let mut out = features.to_vec();
-        out[crate::features::ARTIFACT_AXIS] += sigma * normal.draw(&mut rng);
-        out
+        buf.copy_from_slice(features);
+        buf[crate::features::ARTIFACT_AXIS] += sigma * normal.draw(&mut rng);
+        buf
     }
 
     /// Calibrated confidence in `[0, 1]` — the cascade's quality score.
@@ -421,6 +422,55 @@ mod tests {
         let batch = disc.confidences(&Mat::from_rows(&refs));
         for (i, img) in imgs.iter().enumerate() {
             assert!((batch[i] - disc.confidence(img)).abs() < 1e-12);
+        }
+    }
+
+    /// The allocation-free scoring path is bit-identical to the `Mat`
+    /// path it replaced for every backbone; ResNet and ViT go through the
+    /// noisy extraction.
+    #[test]
+    fn confidence_matches_mat_path_for_every_arch() {
+        let (dataset, light, heavy) = small_setup();
+        for arch in [
+            DiscArch::EfficientNetV2,
+            DiscArch::ResNet34,
+            DiscArch::ViTB16,
+        ] {
+            let config = DiscriminatorConfig {
+                arch,
+                train_prompts: 200,
+                epochs: 3,
+                ..Default::default()
+            };
+            let disc = Discriminator::train(&dataset, &light, &heavy, config);
+            for p in &dataset.prompts()[400..440] {
+                let features = light.generate(p).features;
+                let mut extracted = features.clone();
+                let sigma = arch.feature_noise();
+                if sigma > 0.0 {
+                    let tag = features
+                        .iter()
+                        .fold(0u64, |acc, f| acc.rotate_left(7) ^ f.to_bits());
+                    let mut rng = seeded_rng(derive_seed(config.seed, tag));
+                    extracted[crate::features::ARTIFACT_AXIS] +=
+                        sigma * Normal::standard().draw(&mut rng);
+                }
+                let raw = disc
+                    .classifier
+                    .predict_proba(&Mat::from_rows(&[&extracted]))[(0, 1)];
+                assert_eq!(
+                    disc.raw_confidence(&features).to_bits(),
+                    raw.to_bits(),
+                    "{}",
+                    arch.name()
+                );
+                assert_eq!(
+                    disc.confidence(&features).to_bits(),
+                    disc.equalize(raw).to_bits(),
+                    "{}",
+                    arch.name()
+                );
+            }
         }
     }
 

@@ -137,8 +137,7 @@ impl PredictiveRouter {
 
     fn raw_score(&self, prompt: &Prompt) -> f64 {
         let e = text_embedding(prompt, self.config.observation_noise);
-        let x = Mat::from_rows(&[e.as_slice()]);
-        self.classifier.predict_proba(&x)[(0, 1)]
+        self.classifier.predict_proba_row(&e, 1)
     }
 
     /// Calibrated confidence in `[0, 1]` that the light model suffices for

@@ -29,4 +29,4 @@ pub mod decomp;
 pub mod matrix;
 
 pub use decomp::{cholesky, determinant, lu_solve, sqrtm_psd, sym_eigen, DecompError, SymEigen};
-pub use matrix::Mat;
+pub use matrix::{row_moments, Mat};

@@ -359,37 +359,89 @@ impl Mat {
     }
 
     /// Sample covariance (denominator `n - 1`) of a data matrix
-    /// (rows = samples, cols = features).
+    /// (rows = samples, cols = features), via [`row_moments`].
     ///
     /// # Panics
     ///
     /// Panics if there are fewer than two samples.
     pub fn covariance(&self) -> Mat {
-        assert!(self.rows >= 2, "covariance requires at least two samples");
-        let means = self.column_means();
-        let mut cov = Mat::zeros(self.cols, self.cols);
-        for i in 0..self.rows {
-            for a in 0..self.cols {
-                let da = self[(i, a)] - means[a];
-                for b in a..self.cols {
-                    cov[(a, b)] += da * (self[(i, b)] - means[b]);
-                }
-            }
-        }
-        let denom = (self.rows - 1) as f64;
-        for a in 0..self.cols {
-            for b in a..self.cols {
-                cov[(a, b)] /= denom;
-                cov[(b, a)] = cov[(a, b)];
-            }
-        }
-        cov
+        row_moments(self.data.chunks_exact(self.cols)).1
     }
+}
+
+/// Column means and sample covariance (denominator `n - 1`) of borrowed
+/// sample rows, so a fit needs no copy of its samples into a [`Mat`].
+///
+/// Two passes in row order: the first sums each column and divides by `n`;
+/// the second adds each centred row's outer product into the upper triangle
+/// one row slice at a time, then divides by `n - 1` and mirrors. Every entry
+/// sees the same operations in the same order as the element-wise loops of
+/// [`Mat::column_means`] and the covariance scatter, so the results are
+/// bit-identical to them.
+///
+/// # Panics
+///
+/// Panics with fewer than two rows, on empty rows, or on rows of unequal
+/// lengths.
+///
+/// # Examples
+///
+/// ```
+/// use diffserve_linalg::row_moments;
+///
+/// let rows: [&[f64]; 3] = [&[1.0, 2.0], &[2.0, 4.0], &[3.0, 6.0]];
+/// let (mean, cov) = row_moments(rows);
+/// assert_eq!(mean, vec![2.0, 4.0]);
+/// assert_eq!(cov[(0, 1)], 2.0);
+/// ```
+pub fn row_moments<'r, I>(rows: I) -> (Vec<f64>, Mat)
+where
+    I: IntoIterator<Item = &'r [f64]>,
+    I::IntoIter: Clone,
+{
+    let rows = rows.into_iter();
+    let d = rows.clone().next().map_or(0, <[f64]>::len);
+    let mut means = vec![0.0; d];
+    let mut n = 0usize;
+    for row in rows.clone() {
+        assert_eq!(row.len(), d, "row {n} has inconsistent length");
+        for (m, &v) in means.iter_mut().zip(row) {
+            *m += v;
+        }
+        n += 1;
+    }
+    assert!(n >= 2, "covariance requires at least two samples");
+    for m in &mut means {
+        *m /= n as f64;
+    }
+
+    let mut cov = Mat::zeros(d, d);
+    let mut centred = vec![0.0; d];
+    let upper = cov.as_mut_slice();
+    for row in rows {
+        for ((c, &v), &m) in centred.iter_mut().zip(row).zip(&means) {
+            *c = v - m;
+        }
+        for (a, &da) in centred.iter().enumerate() {
+            for (s, &db) in upper[a * d + a..(a + 1) * d].iter_mut().zip(&centred[a..]) {
+                *s += da * db;
+            }
+        }
+    }
+    let denom = (n - 1) as f64;
+    for a in 0..d {
+        for b in a..d {
+            cov[(a, b)] /= denom;
+            cov[(b, a)] = cov[(a, b)];
+        }
+    }
+    (means, cov)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn identity_is_matmul_neutral() {
@@ -453,6 +505,69 @@ mod tests {
         assert!((c[(0, 1)] - 2.0).abs() < 1e-12);
         assert!((c[(1, 1)] - 4.0).abs() < 1e-12);
         assert!(c.is_symmetric(1e-12));
+    }
+
+    /// The element-wise covariance loop the shared row fold replaced, kept
+    /// as a reference.
+    fn covariance_reference(m: &Mat) -> Mat {
+        let means = m.column_means();
+        let mut cov = Mat::zeros(m.cols(), m.cols());
+        for i in 0..m.rows() {
+            for a in 0..m.cols() {
+                let da = m[(i, a)] - means[a];
+                for b in a..m.cols() {
+                    cov[(a, b)] += da * (m[(i, b)] - means[b]);
+                }
+            }
+        }
+        let denom = (m.rows() - 1) as f64;
+        for a in 0..m.cols() {
+            for b in a..m.cols() {
+                cov[(a, b)] /= denom;
+                cov[(b, a)] = cov[(a, b)];
+            }
+        }
+        cov
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The row fold equals the element-wise covariance loop and
+        /// `column_means` bit for bit, whether it reads a `Mat` or
+        /// borrowed rows.
+        #[test]
+        fn row_fold_matches_reference_loop(seed in 0u64..10_000, n in 2usize..60, d in 1usize..20) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let m = Mat::from_fn(n, d, |_, _| match rng.gen_range(0u32..8) {
+                0 => 0.0,
+                1 => -0.0,
+                _ => rng.gen_range(-1e3..1e3),
+            });
+            let reference = covariance_reference(&m);
+            prop_assert_eq!(bits(m.covariance().as_slice()), bits(reference.as_slice()));
+            let rows: Vec<&[f64]> = (0..n).map(|i| m.row(i)).collect();
+            let (mean, cov) = row_moments(rows);
+            prop_assert_eq!(bits(&mean), bits(&m.column_means()));
+            prop_assert_eq!(bits(cov.as_slice()), bits(reference.as_slice()));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at least two samples")]
+    fn row_moments_needs_two_rows() {
+        let _ = row_moments([&[1.0, 2.0][..]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "inconsistent length")]
+    fn row_moments_rejects_ragged_rows() {
+        let _ = row_moments([&[1.0, 2.0][..], &[3.0]]);
     }
 
     #[test]

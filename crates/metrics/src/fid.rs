@@ -14,7 +14,7 @@
 //! the symmetric reformulation `tr((Σ₁Σ₂)^{1/2}) = Σᵢ √λᵢ(S Σ₂ S)` with
 //! `S = Σ₁^{1/2}`.
 
-use diffserve_linalg::{sqrtm_psd, sym_eigen, DecompError, Mat};
+use diffserve_linalg::{row_moments, sqrtm_psd, sym_eigen, DecompError, Mat};
 
 /// Errors from FID computation.
 #[derive(Debug, Clone, PartialEq)]
@@ -80,12 +80,33 @@ impl GaussianStats {
                 got: features.rows(),
             });
         }
-        let mean = features.column_means();
-        let mut cov = features.covariance();
+        let rows = features.as_slice().chunks_exact(features.cols());
+        Ok(Self::with_ridge(row_moments(rows), ridge))
+    }
+
+    /// [`fit`](Self::fit) over borrowed sample rows, without copying them
+    /// into a matrix first. Bit-identical to fitting
+    /// `Mat::from_rows(rows)`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FidError::TooFewSamples`] with fewer than two rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the rows are empty or of unequal lengths.
+    pub fn fit_rows(rows: &[&[f64]], ridge: f64) -> Result<Self, FidError> {
+        if rows.len() < 2 {
+            return Err(FidError::TooFewSamples { got: rows.len() });
+        }
+        Ok(Self::with_ridge(row_moments(rows.iter().copied()), ridge))
+    }
+
+    fn with_ridge((mean, mut cov): (Vec<f64>, Mat), ridge: f64) -> Self {
         for i in 0..cov.rows() {
             cov[(i, i)] += ridge;
         }
-        Ok(GaussianStats { mean, cov })
+        GaussianStats { mean, cov }
     }
 
     /// Builds stats directly from a known mean and covariance.
@@ -232,6 +253,21 @@ mod tests {
         let y = gaussian_samples(4000, &[0.0, 1.0], 1.0, 4);
         let d = fid_score(&x, &y, 1e-6).unwrap();
         assert!(d < 0.05, "d={d}");
+    }
+
+    #[test]
+    fn fit_rows_matches_matrix_fit_bit_for_bit() {
+        let x = gaussian_samples(300, &[0.3, -0.5, 2.0], 1.2, 5);
+        let rows: Vec<&[f64]> = (0..x.rows()).map(|i| x.row(i)).collect();
+        let a = GaussianStats::fit(&x, 1e-3).unwrap();
+        let b = GaussianStats::fit_rows(&rows, 1e-3).unwrap();
+        let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(a.mean()), bits(b.mean()));
+        assert_eq!(bits(a.cov().as_slice()), bits(b.cov().as_slice()));
+        assert!(matches!(
+            GaussianStats::fit_rows(&rows[..1], 0.0),
+            Err(FidError::TooFewSamples { got: 1 })
+        ));
     }
 
     #[test]

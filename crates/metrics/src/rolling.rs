@@ -8,13 +8,12 @@
 //! pushed sample, independent of the window length — and only pays the
 //! eigendecomposition when an estimate is actually requested.
 //!
-//! The estimator keeps a ring buffer of the raw feature vectors alongside
-//! the running sum `Σx` and scatter `Σxxᵀ`, so evicting the oldest sample
-//! is a subtraction rather than a refit. Floating-point drift from the
-//! add/subtract cycle is bounded by rebuilding the moments exactly from
-//! the buffer every [`REBUILD_INTERVAL`] pushes.
-
-use std::collections::VecDeque;
+//! The estimator keeps the raw feature vectors in one flat `window × d`
+//! ring alongside the running sum `Σx` and scatter `Σxxᵀ`, so evicting the
+//! oldest sample is a subtraction rather than a refit, and once the window
+//! has filled a push allocates nothing. Floating-point drift from the
+//! add/subtract cycle is bounded by rebuilding the moments exactly from the
+//! ring every [`REBUILD_INTERVAL`] pushes.
 
 use diffserve_linalg::Mat;
 
@@ -51,10 +50,14 @@ pub struct RollingFid {
     reference: GaussianStats,
     window: usize,
     ridge: f64,
-    buf: VecDeque<Vec<f64>>,
-    /// Running `Σx` over the buffer.
+    /// Retained samples, row-major: slot `i` holds `ring[i·d..(i+1)·d]`.
+    /// Grows to `window` slots, then each push overwrites the oldest.
+    ring: Vec<f64>,
+    /// Slot of the oldest retained sample.
+    head: usize,
+    /// Running `Σx` over the ring.
     sum: Vec<f64>,
-    /// Running `Σxxᵀ` over the buffer.
+    /// Running `Σxxᵀ` over the ring (upper triangle only).
     scatter: Mat,
     pushes_since_rebuild: usize,
 }
@@ -75,7 +78,8 @@ impl RollingFid {
             reference,
             window,
             ridge,
-            buf: VecDeque::with_capacity(window + 1),
+            ring: Vec::new(),
+            head: 0,
             sum: vec![0.0; d],
             scatter: Mat::zeros(d, d),
             pushes_since_rebuild: 0,
@@ -84,12 +88,12 @@ impl RollingFid {
 
     /// Number of samples currently in the window.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.ring.len() / self.sum.len()
     }
 
     /// `true` if no samples have been pushed yet.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.ring.is_empty()
     }
 
     /// The window length this estimator was built with.
@@ -109,11 +113,17 @@ impl RollingFid {
             self.reference.dim(),
             "feature dimension mismatch"
         );
-        self.accumulate(features, 1.0);
-        self.buf.push_back(features.to_vec());
-        if self.buf.len() > self.window {
-            let old = self.buf.pop_front().expect("buffer just exceeded window");
-            self.accumulate(&old, -1.0);
+        accumulate(&mut self.sum, &mut self.scatter, features, 1.0);
+        if self.len() < self.window {
+            self.ring.extend_from_slice(features);
+        } else {
+            // Full: the new sample is counted before the oldest is
+            // subtracted, then takes the oldest's slot.
+            let d = self.sum.len();
+            let slot = &mut self.ring[self.head * d..(self.head + 1) * d];
+            accumulate(&mut self.sum, &mut self.scatter, slot, -1.0);
+            slot.copy_from_slice(features);
+            self.head = (self.head + 1) % self.window;
         }
         self.pushes_since_rebuild += 1;
         if self.pushes_since_rebuild >= REBUILD_INTERVAL {
@@ -125,7 +135,7 @@ impl RollingFid {
     /// than two samples (matching [`GaussianStats::fit`]'s requirement) or
     /// on numerical failure.
     pub fn estimate(&self) -> f64 {
-        let n = self.buf.len();
+        let n = self.len();
         if n < 2 {
             return f64::NAN;
         }
@@ -147,29 +157,33 @@ impl RollingFid {
         frechet_distance(&stats, &self.reference).unwrap_or(f64::NAN)
     }
 
-    /// Adds (`sign = 1.0`) or removes (`sign = -1.0`) one sample's
-    /// contribution to the running moments. Only the upper triangle of the
-    /// scatter is maintained; [`Self::estimate`] mirrors it.
-    fn accumulate(&mut self, x: &[f64], sign: f64) {
-        for (s, &v) in self.sum.iter_mut().zip(x) {
-            *s += sign * v;
-        }
-        for (a, &xa) in x.iter().enumerate() {
-            for (b, &xb) in x.iter().enumerate().skip(a) {
-                self.scatter[(a, b)] += sign * xa * xb;
-            }
-        }
-    }
-
-    /// Recomputes the moments exactly from the buffered samples.
+    /// Recomputes the moments exactly from the ring, oldest sample first.
     fn rebuild(&mut self) {
-        self.sum.iter_mut().for_each(|s| *s = 0.0);
-        self.scatter = Mat::zeros(self.sum.len(), self.sum.len());
-        let samples: Vec<Vec<f64>> = self.buf.iter().cloned().collect();
-        for x in &samples {
-            self.accumulate(x, 1.0);
+        self.sum.fill(0.0);
+        self.scatter.as_mut_slice().fill(0.0);
+        let d = self.sum.len();
+        let (newer, older) = self.ring.split_at(self.head * d);
+        for x in older.chunks_exact(d).chain(newer.chunks_exact(d)) {
+            accumulate(&mut self.sum, &mut self.scatter, x, 1.0);
         }
         self.pushes_since_rebuild = 0;
+    }
+}
+
+/// Adds (`sign = 1.0`) or removes (`sign = -1.0`) one sample's contribution
+/// to the running moments. Only the upper triangle of the scatter is
+/// maintained, one row slice at a time; [`RollingFid::estimate`] mirrors it.
+fn accumulate(sum: &mut [f64], scatter: &mut Mat, x: &[f64], sign: f64) {
+    let d = x.len();
+    for (s, &v) in sum.iter_mut().zip(x) {
+        *s += sign * v;
+    }
+    let scatter = scatter.as_mut_slice();
+    for (a, &xa) in x.iter().enumerate() {
+        let scaled = sign * xa;
+        for (s, &xb) in scatter[a * d + a..(a + 1) * d].iter_mut().zip(&x[a..]) {
+            *s += scaled * xb;
+        }
     }
 }
 
@@ -265,6 +279,92 @@ mod tests {
         let inc = rolling.estimate();
         let batch = batch_estimate(&seen, 8, 1e-3, &reference);
         assert!((inc - batch).abs() < 1e-8, "{inc} vs {batch}");
+    }
+
+    /// The `VecDeque`-of-rows estimator the flat ring replaced, kept as a
+    /// reference model: same push, eviction and rebuild order, per-element
+    /// `Mat` updates.
+    struct DequeModel {
+        window: usize,
+        buf: std::collections::VecDeque<Vec<f64>>,
+        sum: Vec<f64>,
+        scatter: Mat,
+        pushes_since_rebuild: usize,
+    }
+
+    impl DequeModel {
+        fn new(window: usize, d: usize) -> Self {
+            DequeModel {
+                window,
+                buf: std::collections::VecDeque::new(),
+                sum: vec![0.0; d],
+                scatter: Mat::zeros(d, d),
+                pushes_since_rebuild: 0,
+            }
+        }
+
+        fn push(&mut self, x: &[f64]) {
+            self.accumulate(x, 1.0);
+            self.buf.push_back(x.to_vec());
+            if self.buf.len() > self.window {
+                let old = self.buf.pop_front().unwrap();
+                self.accumulate(&old, -1.0);
+            }
+            self.pushes_since_rebuild += 1;
+            if self.pushes_since_rebuild >= REBUILD_INTERVAL {
+                self.sum.iter_mut().for_each(|s| *s = 0.0);
+                self.scatter = Mat::zeros(self.sum.len(), self.sum.len());
+                let samples: Vec<Vec<f64>> = self.buf.iter().cloned().collect();
+                for x in &samples {
+                    self.accumulate(x, 1.0);
+                }
+                self.pushes_since_rebuild = 0;
+            }
+        }
+
+        fn accumulate(&mut self, x: &[f64], sign: f64) {
+            for (s, &v) in self.sum.iter_mut().zip(x) {
+                *s += sign * v;
+            }
+            for (a, &xa) in x.iter().enumerate() {
+                for (b, &xb) in x.iter().enumerate().skip(a) {
+                    self.scatter[(a, b)] += sign * xa * xb;
+                }
+            }
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The flat ring holds bit-identical moments to the reference model on
+    /// every push, through window wraps and across two rebuilds, so its
+    /// estimates are bit-identical too.
+    #[test]
+    fn ring_matches_deque_model_bit_for_bit() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(21);
+        let reference = GaussianStats::from_moments(vec![0.1, -0.2, 0.3], Mat::identity(3));
+        let window = 7;
+        let mut ring = RollingFid::new(reference.clone(), window, 1e-3);
+        let mut model = DequeModel::new(window, 3);
+        for i in 0..(2 * REBUILD_INTERVAL + 40) {
+            let x: Vec<f64> = (0..3).map(|_| rng.gen_range(-2.0..2.0)).collect();
+            ring.push(&x);
+            model.push(&x);
+            assert_eq!(ring.len(), model.buf.len());
+            assert_eq!(bits(&ring.sum), bits(&model.sum), "sum after push {i}");
+            assert_eq!(
+                bits(ring.scatter.as_slice()),
+                bits(model.scatter.as_slice()),
+                "scatter after push {i}"
+            );
+            let retained: Vec<f64> = model.buf.iter().flatten().copied().collect();
+            let (newer, older) = ring.ring.split_at(ring.head * 3);
+            let ring_order: Vec<f64> = older.iter().chain(newer).copied().collect();
+            assert_eq!(bits(&ring_order), bits(&retained), "samples after push {i}");
+        }
+        assert!(ring.estimate().is_finite());
     }
 
     #[test]

@@ -61,6 +61,33 @@ impl Dense {
         out
     }
 
+    /// Forward pass for one input row, written into `out` (length
+    /// [`outputs`](Self::outputs)) without allocating.
+    ///
+    /// Bit-identical to the matching row of [`forward`](Self::forward): like
+    /// [`Mat::matmul`], it adds `a · W[k, ·]` into a zeroed output in
+    /// ascending `k`, skips every `a == 0.0`, and adds the bias last.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` or `out` does not match the layer's widths.
+    pub(crate) fn forward_row(&self, x: &[f64], out: &mut [f64]) {
+        assert_eq!(x.len(), self.inputs(), "row width mismatch");
+        assert_eq!(out.len(), self.outputs(), "output width mismatch");
+        out.fill(0.0);
+        for (&a, w_row) in x.iter().zip(self.w.as_slice().chunks_exact(out.len())) {
+            if a == 0.0 {
+                continue;
+            }
+            for (o, &w) in out.iter_mut().zip(w_row) {
+                *o += a * w;
+            }
+        }
+        for (o, &b) in out.iter_mut().zip(&self.b) {
+            *o += b;
+        }
+    }
+
     /// Backward pass. Given the upstream gradient `d_out` `(n × out)` and the
     /// cached forward input `x`, returns `(d_x, d_w, d_b)`.
     pub fn backward(&self, x: &Mat, d_out: &Mat) -> (Mat, Mat, Vec<f64>) {

@@ -39,5 +39,5 @@ pub mod optim;
 
 pub use layer::{relu, relu_backward, softmax, Dense};
 pub use loss::{mse, softmax_cross_entropy};
-pub use model::{accuracy, auc, EpochStats, Mlp, TrainConfig};
+pub use model::{accuracy, auc, EpochStats, Mlp, TrainConfig, MAX_LAYER_WIDTH};
 pub use optim::{Adam, Optimizer, Sgd};

@@ -36,6 +36,13 @@ pub struct Mlp {
     layers: Vec<Dense>,
 }
 
+/// Widest layer an [`Mlp`] may have, input and output widths included.
+///
+/// [`Mlp::predict_proba_row`] keeps each layer's activations in stack
+/// buffers of this length. The widest net in the workspace is the ViT-B16
+/// discriminator stand-in, whose first hidden layer is 64 wide.
+pub const MAX_LAYER_WIDTH: usize = 64;
+
 /// Training-loop hyperparameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TrainConfig {
@@ -72,9 +79,14 @@ impl Mlp {
     ///
     /// # Panics
     ///
-    /// Panics if fewer than two widths are given or any width is zero.
+    /// Panics if fewer than two widths are given, any width is zero, or
+    /// any width exceeds [`MAX_LAYER_WIDTH`].
     pub fn new<R: Rng + ?Sized>(widths: &[usize], rng: &mut R) -> Self {
         assert!(widths.len() >= 2, "need at least input and output widths");
+        assert!(
+            widths.iter().all(|&w| w <= MAX_LAYER_WIDTH),
+            "layer widths {widths:?} exceed MAX_LAYER_WIDTH ({MAX_LAYER_WIDTH})"
+        );
         let layers = widths
             .windows(2)
             .map(|w| Dense::new(w[0], w[1], rng))
@@ -110,6 +122,49 @@ impl Mlp {
     /// Class probabilities (softmax of the logits).
     pub fn predict_proba(&self, x: &Mat) -> Mat {
         softmax(&self.logits(x))
+    }
+
+    /// Probability of class `class` for a single input row, computed in
+    /// stack buffers without allocating.
+    ///
+    /// Bit-identical to `self.predict_proba(&Mat::from_rows(&[x]))[(0, class)]`:
+    /// each layer runs `Dense::forward_row` (the same `k` order and
+    /// zero-skip as [`Mat::matmul`]), hidden layers apply the same ReLU,
+    /// and the softmax shifts by the same running max and sums the
+    /// exponentials in the same order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` does not match the input width or `class` is not an
+    /// output class.
+    pub fn predict_proba_row(&self, x: &[f64], class: usize) -> f64 {
+        let mut a = [0.0; MAX_LAYER_WIDTH];
+        let mut b = [0.0; MAX_LAYER_WIDTH];
+        let (first, rest) = self.layers.split_first().expect("at least one layer");
+        let mut width = first.outputs();
+        first.forward_row(x, &mut a[..width]);
+        let (mut cur, mut next) = (&mut a, &mut b);
+        for layer in rest {
+            for v in &mut cur[..width] {
+                *v = v.max(0.0);
+            }
+            let out = layer.outputs();
+            layer.forward_row(&cur[..width], &mut next[..out]);
+            std::mem::swap(&mut cur, &mut next);
+            width = out;
+        }
+        let logits = &mut cur[..width];
+        assert!(
+            class < width,
+            "class {class} out of range ({width} classes)"
+        );
+        let max = logits.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+        let mut sum = 0.0;
+        for l in logits.iter_mut() {
+            *l = (*l - max).exp();
+            sum += *l;
+        }
+        logits[class] / sum
     }
 
     /// Hard class predictions (argmax).
@@ -362,6 +417,56 @@ mod tests {
         assert_eq!(auc(&[0.5, 0.5, 0.5, 0.5], &labels), 0.5);
         // Degenerate single-class input.
         assert_eq!(auc(&[0.5, 0.6], &[true, true]), 0.5);
+    }
+
+    /// The single-row scorer equals the batch `predict_proba` path bit for
+    /// bit on random nets of every discriminator shape (biases moved off
+    /// zero by a little training), with inputs holding exact zeros, signed
+    /// zeros and negative values.
+    #[test]
+    fn single_row_matches_batch_bit_for_bit() {
+        use rand::Rng;
+        for (i, widths) in [&[16, 32, 16, 2][..], &[16, 4, 2], &[16, 64, 32, 2]]
+            .into_iter()
+            .enumerate()
+        {
+            for seed in 0..6u64 {
+                let mut rng = rand::rngs::StdRng::seed_from_u64(seed * 10 + i as u64);
+                let mut model = Mlp::new(widths, &mut rng);
+                let x = Mat::from_fn(32, 16, |_, _| rng.gen_range(-2.0..2.0));
+                let y: Vec<usize> = (0..32).map(|r| r % 2).collect();
+                let config = TrainConfig {
+                    epochs: 2,
+                    batch_size: 8,
+                    shuffle: true,
+                };
+                model.fit(&x, &y, &mut Adam::new(0.05), &config, &mut rng);
+                for _ in 0..64 {
+                    let row: Vec<f64> = (0..16)
+                        .map(|_| match rng.gen_range(0u32..4) {
+                            0 => 0.0,
+                            1 => -0.0,
+                            _ => rng.gen_range(-3.0..3.0),
+                        })
+                        .collect();
+                    let batch = model.predict_proba(&Mat::from_rows(&[&row]));
+                    for class in 0..2 {
+                        assert_eq!(
+                            model.predict_proba_row(&row, class).to_bits(),
+                            batch[(0, class)].to_bits(),
+                            "widths {widths:?}, seed {seed}, class {class}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceed MAX_LAYER_WIDTH")]
+    fn over_wide_layer_rejected() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+        let _ = Mlp::new(&[4, MAX_LAYER_WIDTH + 1, 2], &mut rng);
     }
 
     #[test]
